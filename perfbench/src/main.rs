@@ -28,29 +28,35 @@ use std::time::{Duration, Instant};
 use wec_asym::{Costs, Ledger};
 use wec_graph::Vertex;
 
-use build::{build_layers, build_oracles, component_ids, predicate_sample, verify, BuildSample};
+use build::{
+    build_layers, build_oracles, component_ids, predicate_sample, verify, BuildSample, Oracles,
+};
 use metrics::Metrics;
 use reference::Reference;
 use serve::{
-    epoch_probe, replay_codec, replay_sharded, replay_streaming, serve_reps, Counts, Served, Stack,
-    Stop,
+    epoch_probe, replay_codec, replay_sharded, replay_streaming, serve_reps, Counts, Reps, Served,
+    Stack, REPLAY_QUERIES,
 };
-use stats::{median, peak_rss_mb, quantile_sorted, tail_sorted, Rng};
+use stats::{median, peak_rss_mb, quantile_sorted, Rng};
 use trace::Tracer;
 use wec_serve::Query;
 use workload::{
     hot_set, insert_stream, Inputs, QueryGen, Spec, Workload, DELTA_EDGES, INSTANCE_SEED, K, OMEGA,
 };
 
-/// Set-ups per run: at least `SETUP_REPS`, more while the set-ups so
-/// far took under `SETUP_BUDGET_S`, at most `SETUP_MAX`. `setup_s` is
-/// their median.
+/// Set-up cycles per run: at least `SETUP_REPS`, as many as the first
+/// set-up's time fits in `SETUP_BUDGET_S`, at most `SETUP_MAX`.
+/// `setup_s` is the median set-up.
 const SETUP_REPS: usize = 3;
-const SETUP_BUDGET_S: f64 = 3.0;
-const SETUP_MAX: usize = 9;
-/// Repetitions of the serving window (half of them traced in a traced
-/// run). Throughput and p50 pool the repetitions; p99 is their median.
-const SERVE_REPS: usize = 8;
+const SETUP_BUDGET_S: f64 = 7.0;
+const SETUP_MAX: usize = 12;
+/// Repetitions of the serving window with `--queries` (half of them
+/// traced in a traced run); timed runs repeat it until the serving time
+/// is spent.
+const COUNTED_REPS: usize = 8;
+/// Serving throughput and p50 latency are the value met by all but this
+/// share of the repetitions.
+const SLOW_QUARTILE: f64 = 0.25;
 /// Predicate queries checked against the reference after each timed build.
 const PREDICATE_CHECKS: usize = 2_000;
 /// Insert deltas staged and installed on an idle server by read-only
@@ -145,17 +151,76 @@ struct Outcome {
     failed: u64,
 }
 
-/// Latencies (ns) of both clients over all repetitions, sorted.
-fn pooled_latencies(reps: &[Served]) -> Vec<u32> {
-    let mut lat: Vec<u32> = reps.iter().flat_map(|s| s.latency_ns.concat()).collect();
-    lat.sort_unstable();
-    lat
+/// Median over repetitions of `f`.
+fn rep_median(reps: &[Served], f: impl Fn(&Served) -> f64) -> f64 {
+    median(&reps.iter().map(f).collect::<Vec<_>>())
 }
 
-/// Measured answers per second over all repetitions.
-fn pooled_rate(reps: &[Served]) -> f64 {
-    let answered: u64 = reps.iter().map(|s| s.answered).sum();
-    answered as f64 / reps.iter().map(|s| s.secs).sum::<f64>()
+/// The `q`-quantile over repetitions of `f`.
+fn rep_quantile(reps: &[Served], q: f64, f: impl Fn(&Served) -> f64) -> f64 {
+    let mut v: Vec<f64> = reps.iter().map(f).collect();
+    v.sort_by(f64::total_cmp);
+    quantile_sorted(&v, q)
+}
+
+/// Measured answers per second of one repetition.
+fn rate(s: &Served) -> f64 {
+    s.answered as f64 / s.secs
+}
+
+/// Everything a run sends to the program or checks its answers against,
+/// drawn once from the first set-up: every set-up builds the same pinned
+/// instance.
+struct Drawn {
+    n: usize,
+    edges: usize,
+    reference: Reference,
+    gens: Vec<QueryGen>,
+    insert_edges: Vec<(Vertex, Vertex)>,
+    predicates: Vec<Query>,
+    probe_deltas: Vec<Vec<(Vertex, Vertex)>>,
+}
+
+impl Drawn {
+    /// Outside timing. Fails when the built oracle's component ids are
+    /// wrong.
+    fn new(
+        spec: &Spec,
+        seed: u64,
+        inputs: &Inputs,
+        oracles: &Oracles<'_>,
+    ) -> Result<Drawn, String> {
+        let (n, edges) = (inputs.g.n(), inputs.g.m());
+        let reference = Reference::new(&inputs.g, &component_ids(oracles, n))?;
+        let hot = hot_set(n, seed);
+        let gens = (0..2).map(|c| QueryGen::new(spec, &hot, seed, c)).collect();
+        // Half the merges the graph allows: far more than the one insert
+        // per `QUERIES_PER_EDGE` submissions of a repetition, without the
+        // slow tail of drawing the last merges.
+        let max_edges = if spec.inserts {
+            reference.components() / 2
+        } else {
+            0
+        };
+        let insert_edges = insert_stream(&inputs.g, &hot, seed, max_edges);
+        let mut rng = Rng::new(seed ^ 0x9b0be);
+        let probe_deltas = (0..PROBE_DELTAS)
+            .map(|_| {
+                (0..DELTA_EDGES)
+                    .map(|_| (rng.below(n as u32), rng.below(n as u32)))
+                    .collect()
+            })
+            .collect();
+        Ok(Drawn {
+            n,
+            edges,
+            reference,
+            gens,
+            insert_edges,
+            predicates: predicate_sample(n, seed, PREDICATE_CHECKS),
+            probe_deltas,
+        })
+    }
 }
 
 fn run(a: &Args) -> Outcome {
@@ -168,13 +233,46 @@ fn run(a: &Args) -> Outcome {
     let mut m = Metrics::default();
     let mut off = Tracer::new(false, 0);
 
-    // Set-up, at least SETUP_REPS times and until SETUP_BUDGET_S is
-    // spent: graph generation, both oracle builds, and the serving stack
-    // with its two connected clients. The last set-up is kept.
+    // Each repetition submits a fixed count of queries; timed runs repeat
+    // them until the serving time is spent (traced runs trace the second
+    // half), `--queries` runs a fixed count of repetitions.
+    let serve_secs = a.seconds as f64 * (1.0 - spec.build_share);
+    let (queries, reps) = match a.queries {
+        Some(q) => {
+            let r = if a.trace {
+                COUNTED_REPS / 2
+            } else {
+                COUNTED_REPS
+            };
+            (q / COUNTED_REPS as u64, Reps::Count(r))
+        }
+        None => {
+            let share = if a.trace { 0.5 } else { 1.0 };
+            (
+                spec.rep_queries,
+                Reps::For(Duration::from_secs_f64(serve_secs * share)),
+            )
+        }
+    };
+    // Latency buffers, allocated and touched before timing: measured
+    // answers arrive before the last submission, so at most `queries`
+    // plus the requests in flight.
+    let cap = queries as usize + spec.windows.iter().sum::<usize>();
+    let mut buffers = [vec![u32::MAX; cap], vec![u32::MAX; cap]];
+
+    // Set-up and untraced serving, in cycles. Each cycle sets up afresh
+    // (graph generation, both oracle builds, and the serving stack with
+    // its two connected clients), then serves its share of the untraced
+    // repetitions, so the set-up and build samples spread over the run
+    // as the serving ones do and a slow stretch of the host moves a few
+    // of them, not the median. At least SETUP_REPS cycles, as many as
+    // the first set-up's time fits in SETUP_BUDGET_S, at most SETUP_MAX
+    // (`--queries`: SETUP_REPS). The last cycle's set-up is kept.
     let (mut setup_s, mut gen_s, mut builds) = (Vec::new(), Vec::new(), Vec::new());
-    while setup_s.len() + 1 < SETUP_REPS
-        || (setup_s.iter().sum::<f64>() < SETUP_BUDGET_S && setup_s.len() + 1 < SETUP_MAX)
-    {
+    let mut plain: Vec<Served> = Vec::new();
+    let mut drawn: Option<Drawn> = None;
+    let mut cycles = SETUP_REPS;
+    while setup_s.len() + 1 < cycles {
         let t = Instant::now();
         let inputs = Inputs::generate(&spec);
         gen_s.push(t.elapsed().as_secs_f64());
@@ -182,6 +280,37 @@ fn run(a: &Args) -> Outcome {
         drop(Stack::connect(&o, &spec));
         setup_s.push(t.elapsed().as_secs_f64());
         builds.push(sample);
+        if drawn.is_none() {
+            if a.queries.is_none() {
+                cycles =
+                    ((SETUP_BUDGET_S / setup_s[0]).ceil() as usize).clamp(SETUP_REPS, SETUP_MAX);
+            }
+            drawn = match Drawn::new(&spec, seed, &inputs, &o) {
+                Ok(d) => Some(d),
+                Err(e) => {
+                    eprintln!("the built oracle's component ids are wrong: {e}");
+                    return Outcome {
+                        metrics: m,
+                        attempted: 1,
+                        failed: 1,
+                    };
+                }
+            };
+        }
+        let d = drawn.as_mut().expect("drawn from the first set-up");
+        let chunk = reps.share(setup_s.len() - 1, cycles);
+        let (served, _, _) = serve_reps(
+            &o,
+            &spec,
+            &mut d.gens,
+            &d.insert_edges,
+            &mut d.reference,
+            queries,
+            chunk,
+            &mut buffers,
+            &mut off,
+        );
+        plain.extend(served);
     }
     let t = Instant::now();
     let inputs = Inputs::generate(&spec);
@@ -190,77 +319,34 @@ fn run(a: &Args) -> Outcome {
     drop(Stack::connect(&oracles, &spec));
     setup_s.push(t.elapsed().as_secs_f64());
     builds.push(sample);
-    let (n, edges) = (inputs.g.n(), inputs.g.m());
-
-    // The reference and every generated input, outside timing.
-    let mut reference = match Reference::new(&inputs.g, &component_ids(&oracles, n)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("the built oracle's component ids are wrong: {e}");
-            return Outcome {
-                metrics: m,
-                attempted: 1,
-                failed: 1,
-            };
-        }
-    };
-    let hot = hot_set(n, seed);
-    let mut gens: Vec<QueryGen> = (0..2)
-        .map(|c| QueryGen::new(&spec, &hot, seed, c))
-        .collect();
-    // Half the merges the graph allows: more than a repetition inserts at
-    // 600k queries/s, without the slow tail of drawing the last merges.
-    let max_edges = if spec.inserts {
-        reference.components() / 2
-    } else {
-        0
-    };
-    let insert_edges = insert_stream(&inputs.g, &hot, seed, max_edges);
-    let predicates = predicate_sample(n, seed, PREDICATE_CHECKS);
-    let mut rng = Rng::new(seed ^ 0x9b0be);
-    let probe_deltas: Vec<Vec<(Vertex, Vertex)>> = (0..PROBE_DELTAS)
-        .map(|_| {
-            (0..DELTA_EDGES)
-                .map(|_| (rng.below(n as u32), rng.below(n as u32)))
-                .collect()
-        })
-        .collect();
-    // Each repetition serves for its share of the window and measures its
-    // share of the answers; `--queries` fixes submissions instead.
-    let serve_secs = a.seconds as f64 * (1.0 - spec.build_share);
-    let share = 1.0 / SERVE_REPS as f64;
-    let (stop, measure) = match a.queries {
-        Some(q) => (Stop::Queries((q as f64 * share) as u64), u64::MAX),
-        None => (
-            Stop::After(Duration::from_secs_f64(serve_secs * share)),
-            (serve_secs * share * spec.measure_rate as f64) as u64,
-        ),
-    };
-    let cap = a.queries.unwrap_or(measure) as usize + 1;
-    let mut buffers: Vec<[Vec<u32>; 2]> = (0..SERVE_REPS)
-        .map(|_| [vec![u32::MAX; cap], vec![u32::MAX; cap]])
-        .collect();
+    let Drawn {
+        n,
+        edges,
+        mut reference,
+        mut gens,
+        insert_edges,
+        predicates,
+        probe_deltas,
+    } = drawn.expect("SETUP_REPS is at least 2: the first cycle drew the inputs");
 
     let mut tracer = Tracer::new(false, SPAN_CAPACITY);
     let (mut attempted, mut failed) = (0u64, 0u64);
     let mut traced_wall = 0.0;
     let mut overhead_pct = 0.0;
 
-    // Serving: the closed loop over the wire, in repetitions. Traced runs
-    // trace the second half of them.
-    let untraced_reps = if a.trace { SERVE_REPS / 2 } else { SERVE_REPS };
-    let (plain, _, mut stack) = serve_reps(
+    // Serving: the closed loop over the wire, in repetitions.
+    let (served, _, mut stack) = serve_reps(
         &oracles,
         &spec,
         &mut gens,
         &insert_edges,
         &mut reference,
-        stop,
-        measure,
+        queries,
+        reps.share(cycles - 1, cycles),
         &mut buffers,
-        untraced_reps,
         &mut off,
     );
+    plain.extend(served);
     let sched1 = rayon::scheduler_stats();
     let (mut traced, mut counts) = (Vec::new(), Counts::default());
     if a.trace {
@@ -271,10 +357,9 @@ fn run(a: &Args) -> Outcome {
             &mut gens,
             &insert_edges,
             &mut reference,
-            stop,
-            measure,
+            queries,
+            reps,
             &mut buffers,
-            SERVE_REPS - untraced_reps,
             &mut tracer,
         );
     }
@@ -282,7 +367,7 @@ fn run(a: &Args) -> Outcome {
     if a.trace {
         traced_wall += traced.iter().map(|s| s.wall_secs).sum::<f64>();
         if spec.build_share == 0.0 {
-            overhead_pct = (1.0 - pooled_rate(&traced) / pooled_rate(&plain)) * 100.0;
+            overhead_pct = (1.0 - rep_median(&traced, rate) / rep_median(&plain, rate)) * 100.0;
         }
     }
     for s in plain.iter().chain(&traced) {
@@ -364,7 +449,6 @@ fn run(a: &Args) -> Outcome {
         .collect();
     let last = *all_builds.last().expect("at least one build");
     let build_costs: Costs = last.costs();
-    let lat = pooled_latencies(&plain);
     let answered: u64 = plain.iter().map(|s| s.answered).sum();
     let charged = plain
         .iter()
@@ -408,35 +492,43 @@ fn run(a: &Args) -> Outcome {
         "words/vertex",
         "stored",
     );
+    // Throughput and p50 are the value that three in four repetitions
+    // meet: the slower quartile over repetitions. The host's speed drifts
+    // between a steady slow state and faster stretches of varying length
+    // and speed; this quartile follows the steady state and repeats
+    // across runs more closely than the median. The tails are the median
+    // repetition's: a repetition's p99 is already set by its slowest
+    // stretch, and its slower quartile would count those stretches twice.
     m.e2e(
         "qps",
-        pooled_rate(&plain),
+        rep_quantile(&plain, SLOW_QUARTILE, rate),
         "1/s",
-        format!("{answered} answers measured over {reps} repetitions"),
+        format!("met by 3 in 4 of {reps} repetitions, {answered} answers measured"),
     );
-    let tail = tail_sorted(&lat).map_or("none".into(), |(q, v)| {
-        format!("{q} = {:.1} us", us(v as f64))
-    });
+    let samples = plain
+        .iter()
+        .map(|s| s.delivered.iter().sum::<u64>())
+        .sum::<u64>();
+    let tail = match plain.iter().find_map(|s| s.tail).map(|t| t.0) {
+        Some(q) => {
+            let v = rep_median(&plain, |s| s.tail.map_or(f64::NAN, |t| t.1 as f64));
+            format!("{q} = {:.1} us in the median repetition", us(v))
+        }
+        None => "none".into(),
+    };
     m.e2e(
         "latency_p50_us",
-        us(quantile_sorted(&lat, 0.5) as f64),
+        us(rep_quantile(&plain, 1.0 - SLOW_QUARTILE, |s| {
+            s.p50_ns as f64
+        })),
         "us",
-        format!("{} samples; tail {tail}", lat.len()),
+        format!("met by 3 in 4 of {reps} repetitions, {samples} samples; tail {tail}"),
     );
-    // A stall from outside the process lands in one repetition's tail:
-    // the p99 is the median over repetitions of each one's p99.
-    let p99s: Vec<f64> = plain
-        .iter()
-        .map(|s| us(quantile_sorted(&pooled_latencies(std::slice::from_ref(s)), 0.99) as f64))
-        .collect();
     m.e2e(
         "latency_p99_us",
-        median(&p99s),
+        us(rep_median(&plain, |s| s.p99_ns as f64)),
         "us",
-        format!(
-            "median over {reps} repetitions of {} samples in all",
-            lat.len()
-        ),
+        format!("median over {reps} repetitions, {samples} samples"),
     );
     m.e2e(
         "reads_per_query",
@@ -476,7 +568,12 @@ fn run(a: &Args) -> Outcome {
     // Per-layer metrics, from the traced repetitions and the replays.
     if a.trace {
         m.layer("graph.gen_s", median(&gen_s), "s");
-        let replay: Vec<Query> = traced[0].replay.iter().map(|&(_, q)| q).collect();
+        let pairs: Vec<(usize, Query)> = traced
+            .iter()
+            .flat_map(|s| s.replay.iter().copied())
+            .take(REPLAY_QUERIES)
+            .collect();
+        let replay: Vec<Query> = pairs.iter().map(|&(_, q)| q).collect();
         let build_samples: Vec<BuildSample> = if timed.is_empty() {
             builds.clone()
         } else {
@@ -501,7 +598,7 @@ fn run(a: &Args) -> Outcome {
         );
         m.layer(
             "serve.streaming.query_us",
-            replay_streaming(&oracles, &spec, &traced[0].replay),
+            replay_streaming(&oracles, &spec, &pairs),
             "us",
         );
         let epochs = probe.as_ref().map_or(counts, |p| p.1);
@@ -559,8 +656,9 @@ fn run(a: &Args) -> Outcome {
     m.record("measured_answers", answered);
     m.record(
         "repetition_p99_us",
-        p99s.iter()
-            .map(|v| format!("{v:.0}"))
+        plain
+            .iter()
+            .map(|s| format!("{:.0}", us(s.p99_ns as f64)))
             .collect::<Vec<_>>()
             .join(" "),
     );
@@ -568,7 +666,31 @@ fn run(a: &Args) -> Outcome {
         "repetition_qps",
         plain
             .iter()
-            .map(|s| format!("{:.0}", s.answered as f64 / s.secs))
+            .map(|s| format!("{:.0}", rate(s)))
+            .collect::<Vec<_>>()
+            .join(" "),
+    );
+    m.record(
+        "repetition_p50_us",
+        plain
+            .iter()
+            .map(|s| format!("{:.1}", us(s.p50_ns as f64)))
+            .collect::<Vec<_>>()
+            .join(" "),
+    );
+    m.record(
+        "build_secs",
+        all_builds
+            .iter()
+            .map(|b| format!("{:.3}", b.secs()))
+            .collect::<Vec<_>>()
+            .join(" "),
+    );
+    m.record(
+        "setup_secs",
+        setup_s
+            .iter()
+            .map(|t| format!("{t:.3}"))
             .collect::<Vec<_>>()
             .join(" "),
     );
@@ -590,7 +712,7 @@ fn run(a: &Args) -> Outcome {
     );
     m.record("setup_samples", setup_s.len());
     m.record("build_samples", all_builds.len());
-    m.record("latency_samples", lat.len());
+    m.record("latency_samples", samples);
     m.record(
         "edges_inserted",
         plain
@@ -646,8 +768,7 @@ fn serve_layers(
     m.layer("serve.cache.evictions", c.evictions as f64, "count");
     m.layer("serve.cache.invalidations", c.invalidations as f64, "count");
     m.layer("serve.tenant.drr_visits", c.drr_visits as f64, "count");
-    let delivered =
-        [0, 1].map(|i| traced.iter().map(|s| s.latency_ns[i].len()).sum::<usize>() as f64);
+    let delivered = [0, 1].map(|i| traced.iter().map(|s| s.delivered[i]).sum::<u64>() as f64);
     let share_dev = if spec.tenants {
         let total = (delivered[0] + delivered[1]).max(1.0);
         delivered
@@ -658,14 +779,9 @@ fn serve_layers(
         0.0
     };
     m.layer("serve.tenant.share_dev_pct", share_dev, "%");
-    let mut light: Vec<u32> = traced
-        .iter()
-        .flat_map(|s| s.latency_ns[1].iter().copied())
-        .collect();
-    light.sort_unstable();
     m.layer(
         "serve.tenant.light_p99_us",
-        us(quantile_sorted(&light, 0.99) as f64),
+        us(rep_median(traced, |s| s.light_p99_ns as f64)),
         "us",
     );
     let pooled = |f: fn(&Served) -> &Vec<u32>| -> f64 {

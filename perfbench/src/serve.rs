@@ -17,6 +17,7 @@ use wec_serve::{
 
 use crate::build::Oracles;
 use crate::reference::Reference;
+use crate::stats::{quantile_sorted, tail_sorted};
 use crate::trace::Tracer;
 use crate::workload::{QueryGen, Spec, CACHE_SLOTS, DELTA_EDGES, OMEGA, QUERIES_PER_EDGE, SHARDS};
 
@@ -25,7 +26,7 @@ type Fe<'o, 'g> = Frontend<ConnQueryHandle<'o, 'g, Csr>, BiconnQueryHandle<'o, '
 /// Wire credentials of the two tenants.
 const CREDENTIALS: [u64; 2] = [0x7e_0001, 0x7e_0002];
 /// Queries of a window kept for the traced replays through inner layers.
-const REPLAY_QUERIES: usize = 16_384;
+pub const REPLAY_QUERIES: usize = 16_384;
 
 fn policy(spec: &Spec) -> AdmissionPolicy {
     let b = AdmissionPolicy::builder()
@@ -105,32 +106,54 @@ impl<'o, 'g> Stack<'o, 'g> {
     }
 }
 
-/// When a window stops submitting.
+/// How many repetitions a serving window runs.
 #[derive(Debug, Clone, Copy)]
-pub enum Stop {
-    After(Duration),
-    /// After this many submissions: every count the run reports is then
-    /// a pure function of the seed.
-    Queries(u64),
+pub enum Reps {
+    Count(usize),
+    /// Repetitions until this much time has passed, at least `MIN_REPS`.
+    For(Duration),
 }
 
+impl Reps {
+    /// The `i`-th of `k` equal shares.
+    pub fn share(self, i: usize, k: usize) -> Reps {
+        match self {
+            Reps::Count(n) => Reps::Count(n * (i + 1) / k - n * i / k),
+            Reps::For(d) => Reps::For(d / k as u32),
+        }
+    }
+}
+
+/// Fewest repetitions of a timed serving window.
+const MIN_REPS: usize = 3;
+
 /// Counters of one window: the costs and samples cover its measured
-/// answers, the answer and error counts the whole window.
+/// answers (those that arrived before the last submission), the answer
+/// and error counts the whole window.
 #[derive(Debug, Clone, Default)]
 pub struct Served {
-    /// Wall time until the measured answers arrived.
+    /// Wall time until the last submission.
     pub secs: f64,
     /// Wall time of the whole window, drain included.
     pub wall_secs: f64,
     pub submitted: u64,
-    /// Answers measured: the first `measure` of the window (or fewer, if
-    /// the window ended first).
+    /// Answers measured: those that arrived before the last submission.
     pub answered: u64,
     /// All answers, the drain after the stop included.
     pub answered_total: u64,
     pub wrong: u64,
-    /// Latency (ns) of each measured answer, per client.
+    /// Latency (ns) of each measured answer, per client: a buffer of the
+    /// caller's, handed back for the next window.
     pub latency_ns: [Vec<u32>; 2],
+    /// Measured answers per client.
+    pub delivered: [u64; 2],
+    /// Quantiles of the measured latencies of both clients.
+    pub p50_ns: u32,
+    pub p99_ns: u32,
+    /// The highest percentile with at least ten samples beyond it.
+    pub tail: Option<(&'static str, u32)>,
+    /// The p99 of the second (light) client's measured latencies.
+    pub light_p99_ns: u32,
     pub server_costs: Costs,
     pub client_costs: Costs,
     pub pumps: u64,
@@ -146,7 +169,8 @@ pub struct Served {
     pub edges_inserted: u64,
     /// The insert stream ran out before the window ended.
     pub inserts_exhausted: bool,
-    /// The first `REPLAY_QUERIES` submissions, with their client.
+    /// Traced windows: the first `REPLAY_QUERIES` submissions, with their
+    /// client.
     pub replay: Vec<(usize, Query)>,
 }
 
@@ -161,7 +185,7 @@ struct ClientLoop<'a> {
     gens: &'a mut [QueryGen],
     rings: Vec<Vec<Option<InFlight>>>,
     out: Served,
-    lat_len: [usize; 2],
+    replay: bool,
 }
 
 impl ClientLoop<'_> {
@@ -179,19 +203,22 @@ impl ClientLoop<'_> {
             epoch,
         });
         self.out.submitted += 1;
-        if self.out.replay.len() < REPLAY_QUERIES {
+        if self.replay && self.out.replay.len() < REPLAY_QUERIES {
             self.out.replay.push((c, q));
         }
     }
 }
 
-/// Serve one closed-loop window until `stop`. The metrics cover the
-/// first `measure` answers: on `serve_hot_rw` the work per query grows
-/// with the edges inserted so far, so a fixed answer count gives every run
+/// Serve one closed-loop window of `queries` submissions. The metrics
+/// cover the answers that arrive before the last submission, while the
+/// windows are full: on `serve_hot_rw` the work per query grows with the
+/// edges inserted so far, so a fixed submission count gives every window
 /// the same work and its rate reflects speed alone. `inserts` feeds
 /// `DELTA_EDGES`-edge deltas at one edge per `QUERIES_PER_EDGE`
 /// submissions (empty: read-only); `reference` checks every answer at
-/// receipt and follows the installs.
+/// receipt and follows the installs. `latency` has room for every answer
+/// a client can receive before the last submission, allocated and touched
+/// before the window.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_window(
     stack: &mut Stack<'_, '_>,
@@ -199,11 +226,13 @@ pub fn serve_window(
     gens: &mut [QueryGen],
     inserts: &mut impl Iterator<Item = (Vertex, Vertex)>,
     reference: &mut Reference,
-    stop: Stop,
-    measure: u64,
-    latency: [Vec<u32>; 2],
+    queries: u64,
+    mut latency: [Vec<u32>; 2],
     tracer: &mut Tracer,
 ) -> Served {
+    for v in latency.iter_mut() {
+        v.clear();
+    }
     let rings = spec
         .windows
         .iter()
@@ -216,7 +245,7 @@ pub fn serve_window(
             latency_ns: latency,
             ..Served::default()
         },
-        lat_len: [0, 0],
+        replay: tracer.is_on(),
     };
     let s0 = stack.sled.costs();
     let c0 = stack.cled.costs();
@@ -249,9 +278,8 @@ pub fn serve_window(
                 if measuring {
                     let ns = now.duration_since(f.t).as_nanos().min(u32::MAX as u128) as u32;
                     let lat = &mut d.out.latency_ns[c];
-                    let i = d.lat_len[c] % lat.len();
-                    lat[i] = ns;
-                    d.lat_len[c] += 1;
+                    assert!(lat.len() < lat.capacity(), "a latency buffer too small");
+                    lat.push(ns);
                     d.out.answered += 1;
                 }
                 if !reference.check(f.q, &result, f.epoch, epoch) {
@@ -316,13 +344,8 @@ pub fn serve_window(
                 staged = Some((t, edges));
             }
         }
-        if !stopping {
-            stopping = match stop {
-                Stop::After(limit) => t0.elapsed() >= limit,
-                Stop::Queries(n) => d.out.submitted >= n,
-            };
-        }
-        if measuring && (stopping || d.out.answered >= measure) {
+        stopping = d.out.submitted >= queries;
+        if measuring && stopping {
             measuring = false;
             d.out.secs = t0.elapsed().as_secs_f64();
             d.out.server_costs = stack.sled.costs().since(&s0);
@@ -334,9 +357,19 @@ pub fn serve_window(
     }
     let mut out = d.out;
     out.wall_secs = t0.elapsed().as_secs_f64();
-    for c in 0..2 {
-        out.latency_ns[c].truncate(d.lat_len[c].min(out.latency_ns[c].len()));
-        out.latency_ns[c].sort_unstable();
+    for (c, lat) in out.latency_ns.iter_mut().enumerate() {
+        lat.sort_unstable();
+        out.delivered[c] = lat.len() as u64;
+    }
+    if !out.latency_ns[1].is_empty() {
+        out.light_p99_ns = quantile_sorted(&out.latency_ns[1], 0.99);
+    }
+    let mut all = out.latency_ns.concat();
+    all.sort_unstable();
+    if !all.is_empty() {
+        out.p50_ns = quantile_sorted(&all, 0.5);
+        out.p99_ns = quantile_sorted(&all, 0.99);
+        out.tail = tail_sorted(&all);
     }
     out
 }
@@ -414,10 +447,11 @@ impl Counts {
     }
 }
 
-/// The serving window as `reps` repetitions, each on a freshly connected
-/// stack (cold caches, epoch 0) with the insert stream replayed from its
-/// start, so every repetition does the same kind of work and a stall from
-/// outside the process moves one repetition, not the median. Returns each
+/// The serving window as repetitions of `queries` submissions, each on a
+/// freshly connected stack (cold caches, epoch 0) with the insert stream
+/// replayed from its start, so every repetition does the same work and a
+/// slow stretch of the host moves a few repetitions, not the median.
+/// The repetitions share the two latency `buffers`. Returns each
 /// repetition's counters, their summed stack counters, and the last stack.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_reps<'o, 'g>(
@@ -426,33 +460,36 @@ pub fn serve_reps<'o, 'g>(
     gens: &mut [QueryGen],
     edges: &[(Vertex, Vertex)],
     reference: &mut Reference,
-    stop: Stop,
-    measure: u64,
-    buffers: &mut Vec<[Vec<u32>; 2]>,
-    reps: usize,
+    queries: u64,
+    reps: Reps,
+    buffers: &mut [Vec<u32>; 2],
     tracer: &mut Tracer,
 ) -> (Vec<Served>, Counts, Stack<'o, 'g>) {
-    let mut out = Vec::with_capacity(reps);
+    let mut out: Vec<Served> = Vec::new();
     let mut counts = Counts::default();
     let mut stack = Stack::connect(oracles, spec);
-    for rep in 0..reps {
-        if rep > 0 {
+    let t = Instant::now();
+    while match reps {
+        Reps::Count(n) => out.len() < n,
+        Reps::For(d) => out.len() < MIN_REPS || t.elapsed() < d,
+    } {
+        if !out.is_empty() {
             stack = Stack::connect(oracles, spec);
         }
         reference.reset_epochs();
         let before = Counts::of(&stack);
-        let latency = buffers.pop().expect("a latency buffer per repetition");
-        out.push(serve_window(
+        let mut s = serve_window(
             &mut stack,
             spec,
             gens,
             &mut edges.iter().copied(),
             reference,
-            stop,
-            measure,
-            latency,
+            queries,
+            std::mem::take(buffers),
             tracer,
-        ));
+        );
+        *buffers = std::mem::take(&mut s.latency_ns);
+        out.push(s);
         counts = counts.plus(&Counts::of(&stack).since(&before));
     }
     (out, counts, stack)

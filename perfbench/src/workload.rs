@@ -67,10 +67,12 @@ pub struct Spec {
     pub inserts: bool,
     /// Share of the run spent building oracles (the rest serves).
     pub build_share: f64,
-    /// Answers measured per second of serving window: about half of what
-    /// this workload serves on a 2-core host, so the measured answers
-    /// arrive well inside the window.
-    pub measure_rate: u64,
+    /// Submissions per serving repetition, so a run measures dozens of
+    /// them. On `serve_cold` a repetition lasts under 0.1 s on a 2-core
+    /// host: most fall between the host's slow stretches, which would
+    /// otherwise set every repetition's p99. On `serve_hot_rw` it inserts
+    /// over a thousand edges, so installs stay part of every repetition.
+    pub rep_queries: u64,
 }
 
 impl Workload {
@@ -123,8 +125,8 @@ impl Workload {
                 max_batch: 64,
                 tenants: false,
                 inserts: false,
-                build_share: 0.6,
-                measure_rate: 25_000,
+                build_share: 0.5,
+                rep_queries: 3_000,
             },
             Workload::ServeCold => Spec {
                 build_share: 0.0,
@@ -139,7 +141,7 @@ impl Workload {
                 tenants: true,
                 inserts: true,
                 build_share: 0.0,
-                measure_rate: 160_000,
+                rep_queries: 120_000,
             },
         }
     }
