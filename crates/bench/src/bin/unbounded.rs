@@ -55,6 +55,6 @@ fn main() {
     }
     println!("\nVertex-biconnectivity through the view is NOT exact in general —");
     println!(
-        "see tests/section6.rs::vertex_biconnectivity_counterexample_is_real and DESIGN.md §1."
+        "see tests/section6.rs::vertex_biconnectivity_counterexample_is_real and wec-graph's bounded.rs."
     );
 }

@@ -1,7 +1,7 @@
 //! # wec-bench — the harness that regenerates every table and figure
 //!
 //! Each binary in `src/bin/` reproduces one artifact of the paper's
-//! evaluation (see DESIGN.md §4 for the full index):
+//! evaluation:
 //!
 //! | binary | paper artifact |
 //! |---|---|

@@ -91,13 +91,7 @@ pub fn rho<G: GraphView>(
         }
         None => {
             // Component exhausted: implicit minimum-priority center.
-            let min = s
-                .info
-                .keys()
-                .copied()
-                .min_by_key(|&u| pri.rank(u))
-                .expect("search visited at least v");
-            led.op(s.info.len() as u64);
+            let min = s.min_priority_visited(led);
             if min == v {
                 RhoAnswer {
                     center: Center::ImplicitMin(v),
