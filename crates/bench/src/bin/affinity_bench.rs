@@ -1,16 +1,15 @@
-//! Affinity routing + eviction policy under cache-capacity pressure.
+//! Affinity routing under cache-capacity pressure.
 //!
 //! Builds both sublinear-write oracles once, then sweeps workload locality
 //! (`hot_fraction`) × total cache capacity (as a fraction of the stream's
-//! working set) × policy combination — the PR-3 baseline
-//! (`Routing::Contiguous` + `Eviction::FillUntilFull`), affinity routing
-//! alone (`Affinity` + `FillUntilFull`), and the PR-4 default
-//! (`Affinity` + `Clock`) — measuring the cumulative cache hit ratio,
+//! working set) × routing — the contiguous baseline (`Routing::Contiguous`)
+//! and the default (`Routing::Affinity`), both under the CLOCK eviction
+//! every shard cache runs — measuring the cumulative cache hit ratio,
 //! evictions, queries/sec, and the model reads/writes charged per query.
 //!
 //! The headline comparison is the acceptance point: on the 94%-hot stream
-//! with total capacity at 25% of the working set, affinity + CLOCK must
-//! sustain a strictly higher cumulative hit ratio than the baseline
+//! with total capacity at 25% of the working set, affinity routing must
+//! sustain a strictly higher cumulative hit ratio than contiguous routing
 //! (asserted by `tests/affinity.rs`; reported here at bench scale).
 //!
 //! Writes the machine-readable `BENCH_PR4.json` (override the path with
@@ -26,7 +25,7 @@ use wec_biconnectivity::oracle::build_biconnectivity_oracle;
 use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec_core::BuildOpts;
 use wec_graph::{gen, Priorities, Vertex};
-use wec_serve::{AdmissionPolicy, Eviction, Query, Routing, ShardedServer, StreamingServer};
+use wec_serve::{AdmissionPolicy, Query, Routing, ShardedServer, StreamingServer};
 
 const OMEGA: u64 = 64;
 const SHARDS: usize = 4;
@@ -99,29 +98,13 @@ fn main() {
     let hot_fracs: &[u32] = &[128, 241];
     // Total capacity as a percentage of the stream's working set.
     let cap_percents: &[u64] = &[10, 25, 100];
-    let configs: &[(&str, &str, Routing, Eviction)] = &[
-        (
-            "contiguous",
-            "fill",
-            Routing::Contiguous,
-            Eviction::FillUntilFull,
-        ),
-        (
-            "affinity",
-            "fill",
-            Routing::Affinity { skew_factor: 4 },
-            Eviction::FillUntilFull,
-        ),
-        (
-            "affinity",
-            "clock",
-            Routing::Affinity { skew_factor: 4 },
-            Eviction::Clock,
-        ),
+    let configs: &[(&str, Routing)] = &[
+        ("contiguous", Routing::Contiguous),
+        ("affinity", Routing::Affinity { skew_factor: 4 }),
     ];
 
     println!(
-        "=== wec-serve affinity/eviction sweep (threads = {}, ω = {OMEGA}, n = {n}, \
+        "=== wec-serve affinity routing sweep (threads = {}, ω = {OMEGA}, n = {n}, \
          stream = {stream_len}, shards = {SHARDS}, hot set = {HOT_KEYS}) ===",
         rayon::current_num_threads()
     );
@@ -146,7 +129,7 @@ fn main() {
         led.costs().operations()
     );
 
-    let make_server = |capacity: usize, routing: Routing, eviction: Eviction| {
+    let make_server = |capacity: usize, routing: Routing| {
         let sharded = ShardedServer::new(conn.query_handle(), SHARDS)
             .with_biconnectivity(bicon.query_handle());
         StreamingServer::new(
@@ -156,7 +139,6 @@ fn main() {
                 .max_queue(256)
                 .cache_capacity(capacity)
                 .routing(routing)
-                .eviction(eviction)
                 .build(),
         )
     };
@@ -165,17 +147,8 @@ fn main() {
     let mut acceptance_ws = 0u64;
     let (mut accept_base, mut accept_affinity) = (0.0f64, 0.0f64);
     println!(
-        "{:>11} {:>6} {:>6} {:>7} {:>9} {:>9} {:>9} {:>14} {:>10} {:>10}",
-        "routing",
-        "evict",
-        "hot%",
-        "cap%",
-        "slots/sh",
-        "hit%",
-        "evic/q",
-        "queries/s",
-        "reads/q",
-        "writes/q"
+        "{:>11} {:>6} {:>7} {:>9} {:>9} {:>9} {:>14} {:>10} {:>10}",
+        "routing", "hot%", "cap%", "slots/sh", "hit%", "evic/q", "queries/s", "reads/q", "writes/q"
     );
     for &hot in hot_fracs {
         let queries = stream(n as u32, stream_len, hot, 7 + hot);
@@ -185,9 +158,9 @@ fn main() {
         }
         for &pct in cap_percents {
             let per_shard = ((ws as u64 * pct / 100) as usize / SHARDS).max(1);
-            for &(routing_label, eviction_label, routing, eviction) in configs {
+            for &(routing_label, routing) in configs {
                 // Accounted run (fresh caches): model costs + hit ratio.
-                let mut srv = make_server(per_shard, routing, eviction);
+                let mut srv = make_server(per_shard, routing);
                 let mut qled = Ledger::new(OMEGA);
                 for &q in &queries {
                     srv.submit(&mut qled, q).unwrap();
@@ -198,7 +171,7 @@ fn main() {
                 let costs = qled.costs();
                 // Timed runs, cache-cold each iteration.
                 let secs = time_median(iters, || {
-                    let mut srv = make_server(per_shard, routing, eviction);
+                    let mut srv = make_server(per_shard, routing);
                     let mut ql = Ledger::new(OMEGA);
                     for &q in &queries {
                         srv.submit(&mut ql, q).unwrap();
@@ -208,7 +181,6 @@ fn main() {
                 });
                 let point = AffinitySweepPoint {
                     routing: routing_label.to_string(),
-                    eviction: eviction_label.to_string(),
                     hot_fraction: hot as f64 / 256.0,
                     capacity_fraction: pct as f64 / 100.0,
                     per_shard_capacity: per_shard as u64,
@@ -226,16 +198,14 @@ fn main() {
                 if hot == 241 && pct == 25 {
                     // The acceptance point: 94%-hot, 25%-of-working-set
                     // total capacity.
-                    match (routing_label, eviction_label) {
-                        ("contiguous", "fill") => accept_base = point.hit_ratio,
-                        ("affinity", "clock") => accept_affinity = point.hit_ratio,
-                        _ => {}
+                    match routing {
+                        Routing::Contiguous => accept_base = point.hit_ratio,
+                        Routing::Affinity { .. } => accept_affinity = point.hit_ratio,
                     }
                 }
                 println!(
-                    "{:>11} {:>6} {:>6.1} {:>7} {:>9} {:>9.1} {:>9.3} {:>14.0} {:>10.1} {:>10.3}",
+                    "{:>11} {:>6.1} {:>7} {:>9} {:>9.1} {:>9.3} {:>14.0} {:>10.1} {:>10.3}",
                     point.routing,
-                    point.eviction,
                     100.0 * point.hot_fraction,
                     pct,
                     per_shard,
@@ -251,12 +221,12 @@ fn main() {
     }
 
     println!(
-        "acceptance point (94% hot, 25% capacity): affinity+clock hit {:.1}% vs \
-         contiguous+fill {:.1}% ({})",
+        "acceptance point (94% hot, 25% capacity): affinity hit {:.1}% vs \
+         contiguous {:.1}% ({})",
         100.0 * accept_affinity,
         100.0 * accept_base,
         if accept_affinity > accept_base {
-            "PASS: affinity+CLOCK sustains strictly more hits"
+            "PASS: affinity routing sustains strictly more hits"
         } else {
             "REGRESSION: baseline not beaten — see tests/affinity.rs"
         }

@@ -6,19 +6,15 @@
 //! phases under [`Ledger::new`] (rayon pool) vs [`Ledger::sequential`] and
 //! the oracle's query throughput, then writes the machine-readable
 //! `BENCH_PR1.json` (override the path with `WEC_BENCH_OUT`) so later PRs
-//! have a perf trajectory to beat. The PR-9 A/B legs run on the same
-//! wall-clock graph — §4.2 with the materialized two-pass cross-edge
-//! filter vs the fused delayed-sequence pass vs the LDD +
+//! have a perf trajectory to beat. The fusion legs run on the same
+//! wall-clock graph — §4.2 (fused cross-edge pass) vs the LDD +
 //! star-contraction fast path — and write `BENCH_PR9.json` (override with
 //! `WEC_FUSION_BENCH_OUT`). Pass `--smoke` for the CI-sized run.
 
 use wec_asym::Ledger;
 use wec_baseline::shun_connectivity;
 use wec_bench::{time, time_median, BenchSnapshot, FusionSnapshot, PhaseTiming};
-use wec_connectivity::{
-    connectivity_csr, connectivity_csr_with, star_connectivity, ConnectivityOracle, CrossEdgePass,
-    OracleBuildOpts,
-};
+use wec_connectivity::{connectivity_csr, star_connectivity, ConnectivityOracle, OracleBuildOpts};
 use wec_core::{BuildOpts, ImplicitDecomposition};
 use wec_graph::{gen, Csr, Priorities, Vertex};
 
@@ -139,8 +135,8 @@ fn wallclock_snapshot(n: usize, iters: usize) {
     }
 }
 
-fn fusion_ab_snapshot(n: usize, iters: usize) {
-    println!("\n=== PR-9 fusion A/B: build writes/edge, three paths ===");
+fn fusion_snapshot(n: usize, iters: usize) {
+    println!("\n=== fusion: build writes/edge, §4.2 vs star ===");
     let g = gen::bounded_degree_connected(n, 4, n / 4, 42);
     let m = g.m();
     let beta = 1.0 / OMEGA as f64;
@@ -151,33 +147,15 @@ fn fusion_ab_snapshot(n: usize, iters: usize) {
         f(&mut led, &g);
         led.costs().asym_writes as f64 / m as f64
     };
-    let writes_per_edge_materialized = charged(&|led, g| {
-        connectivity_csr_with(led, g, beta, seed, CrossEdgePass::Materialized);
-    });
     let writes_per_edge_fused = charged(&|led, g| {
-        connectivity_csr_with(led, g, beta, seed, CrossEdgePass::Fused);
+        connectivity_csr(led, g, beta, seed);
     });
     let writes_per_edge_star = charged(&|led, g| {
         star_connectivity(led, g, beta, seed);
     });
 
-    let build_seconds_materialized = time_median(iters, || {
-        connectivity_csr_with(
-            &mut Ledger::new(OMEGA),
-            &g,
-            beta,
-            seed,
-            CrossEdgePass::Materialized,
-        );
-    });
     let build_seconds_fused = time_median(iters, || {
-        connectivity_csr_with(
-            &mut Ledger::new(OMEGA),
-            &g,
-            beta,
-            seed,
-            CrossEdgePass::Fused,
-        );
+        connectivity_csr(&mut Ledger::new(OMEGA), &g, beta, seed);
     });
     let build_seconds_star = time_median(iters, || {
         star_connectivity(&mut Ledger::new(OMEGA), &g, beta, seed);
@@ -189,28 +167,20 @@ fn fusion_ab_snapshot(n: usize, iters: usize) {
         omega: OMEGA,
         n: n as u64,
         m: m as u64,
-        writes_per_edge_materialized,
         writes_per_edge_fused,
         writes_per_edge_star,
-        build_seconds_materialized,
         build_seconds_fused,
         build_seconds_star,
     };
     println!("{:<28} {:>14} {:>12}", "leg", "writes/edge", "build ms");
     for (label, wpe, secs) in [
-        (
-            "sec4.2 materialized",
-            writes_per_edge_materialized,
-            build_seconds_materialized,
-        ),
         ("sec4.2 fused", writes_per_edge_fused, build_seconds_fused),
         ("ldd+star fused", writes_per_edge_star, build_seconds_star),
     ] {
         println!("{label:<28} {wpe:>14.4} {:>12.2}", 1e3 * secs);
     }
     println!(
-        "fused reduction {:.1}%, star reduction {:.1}% (vs materialized)",
-        snap.fused_write_reduction_pct(),
+        "star reduction {:.1}% (vs §4.2)",
         snap.star_write_reduction_pct()
     );
     match snap.write("BENCH_PR9.json") {
@@ -228,5 +198,5 @@ fn main() {
     };
     theorem42_table(table_n);
     wallclock_snapshot(wall_n, iters);
-    fusion_ab_snapshot(wall_n, iters);
+    fusion_snapshot(wall_n, iters);
 }

@@ -36,7 +36,7 @@ use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec_core::BuildOpts;
 use wec_graph::{gen, Csr, Priorities, Vertex};
 use wec_serve::{
-    AdmissionPolicy, Eviction, FullStreamingServer, GraphDelta, Query, Routing, ShardedServer,
+    AdmissionPolicy, FullStreamingServer, GraphDelta, Query, Routing, ShardedServer,
     StreamingServer,
 };
 
@@ -225,7 +225,6 @@ fn main() {
                 .max_queue(MAX_BATCH)
                 .cache_capacity(256)
                 .routing(Routing::Affinity { skew_factor: 4 })
-                .eviction(Eviction::Clock)
                 .build(),
         )
     };

@@ -31,8 +31,7 @@ use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec_core::BuildOpts;
 use wec_graph::{gen, Priorities, Vertex};
 use wec_serve::{
-    AdmissionPolicy, Eviction, FaultPlan, Query, RecoveryPolicy, Routing, ShardedServer,
-    StreamingServer,
+    AdmissionPolicy, FaultPlan, Query, RecoveryPolicy, Routing, ShardedServer, StreamingServer,
 };
 
 const OMEGA: u64 = 64;
@@ -146,7 +145,6 @@ fn main() {
                 .max_queue(MAX_BATCH)
                 .cache_capacity(256)
                 .routing(Routing::Affinity { skew_factor: 4 })
-                .eviction(Eviction::Clock)
                 .build(),
         )
         .with_recovery(RecoveryPolicy::default());

@@ -1,8 +1,8 @@
 //! **Scheduler bench** — fork/join overhead and steal rates of the rayon
-//! shim's work-stealing runtime, against its legacy injector-only mode.
+//! shim's work-stealing runtime.
 //!
 //! Thread count is latched process-wide on first pool use, so each
-//! `threads × mode` leg runs in its own **subprocess** (`--leg=MODE` with
+//! thread-count leg runs in its own **subprocess** (`--leg` with
 //! `WEC_THREADS` set); the orchestrating parent collects the legs into
 //! `BENCH_PR5.json` (override the path with `WEC_POOL_BENCH_OUT`). Pass
 //! `--smoke` for the CI-sized run.
@@ -40,10 +40,7 @@ fn fan(depth: u32) -> u64 {
     a + b
 }
 
-fn run_leg(mode: &str, smoke: bool) {
-    if mode == "injector" {
-        rayon::force_injector_only(true);
-    }
+fn run_leg(smoke: bool) {
     let threads = rayon::current_num_threads();
     let before = rayon::scheduler_stats();
 
@@ -87,7 +84,6 @@ fn run_leg(mode: &str, smoke: bool) {
     let delta = rayon::scheduler_stats().since(&before);
     let leg = PoolLeg {
         threads: threads as u64,
-        mode: mode.to_string(),
         join_ns,
         joins_per_sec: if join_secs > 0.0 {
             joins as f64 / join_secs
@@ -125,18 +121,17 @@ fn json_num(doc: &str, key: &str) -> f64 {
         .unwrap_or_else(|e| panic!("bad number for {key:?}: {e}"))
 }
 
-fn spawn_leg(threads: usize, mode: &str, smoke: bool) -> PoolLeg {
+fn spawn_leg(threads: usize, smoke: bool) -> PoolLeg {
     let exe = std::env::current_exe().expect("current_exe");
     let mut cmd = std::process::Command::new(exe);
-    cmd.arg(format!("--leg={mode}"))
-        .env("WEC_THREADS", threads.to_string());
+    cmd.arg("--leg").env("WEC_THREADS", threads.to_string());
     if smoke {
         cmd.arg("--smoke");
     }
     let out = cmd.output().expect("spawning bench leg");
     assert!(
         out.status.success(),
-        "leg threads={threads} mode={mode} failed:\n{}",
+        "leg threads={threads} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -146,7 +141,6 @@ fn spawn_leg(threads: usize, mode: &str, smoke: bool) -> PoolLeg {
         .unwrap_or_else(|| panic!("leg produced no LEGJSON line:\n{stdout}"));
     PoolLeg {
         threads: json_num(doc, "threads") as u64,
-        mode: mode.to_string(),
         join_ns: json_num(doc, "join_ns"),
         joins_per_sec: json_num(doc, "joins_per_sec"),
         chunk_ns: json_num(doc, "chunk_ns"),
@@ -163,41 +157,33 @@ fn spawn_leg(threads: usize, mode: &str, smoke: bool) -> PoolLeg {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    if let Some(mode) = args.iter().find_map(|a| a.strip_prefix("--leg=")) {
-        run_leg(mode, smoke);
+    if args.iter().any(|a| a == "--leg") {
+        run_leg(smoke);
         return;
     }
 
-    println!("=== PR-5 scheduler bench: work-stealing vs. injector-only ===");
+    println!("=== scheduler bench: work-stealing fork/join ===");
     let mut legs = Vec::new();
     for &threads in &[2usize, 8] {
-        for mode in ["steal", "injector"] {
-            let leg = spawn_leg(threads, mode, smoke);
-            println!(
-                "threads={threads} mode={mode:<8}  join {:>8.0} ns   chunk {:>8.0} ns   \
-                 build {:>7.1} ms   steals {:>7}  deque {:>7}  injector {:>7}  overflows {}",
-                leg.join_ns,
-                leg.chunk_ns,
-                1e3 * leg.build_seconds,
-                leg.steals,
-                leg.published_deque,
-                leg.published_injector,
-                leg.deque_overflows,
-            );
-            legs.push(leg);
-        }
+        let leg = spawn_leg(threads, smoke);
+        println!(
+            "threads={threads}  join {:>8.0} ns   chunk {:>8.0} ns   build {:>7.1} ms   \
+             steals {:>7}  deque {:>7}  injector {:>7}  overflows {}",
+            leg.join_ns,
+            leg.chunk_ns,
+            1e3 * leg.build_seconds,
+            leg.steals,
+            leg.published_deque,
+            leg.published_injector,
+            leg.deque_overflows,
+        );
+        legs.push(leg);
     }
     let snap = PoolSnapshot {
         pr: 5,
         host_threads: rayon::current_num_threads() as u64,
         legs,
     };
-    for t in [2u64, 8] {
-        println!(
-            "per-join overhead reduction at {t} threads: {:.1}%",
-            snap.overhead_reduction_pct(t)
-        );
-    }
     match snap.write("BENCH_PR5.json") {
         Ok(path) => println!("wrote {path}"),
         Err(e) => eprintln!("could not write BENCH_PR5.json: {e}"),

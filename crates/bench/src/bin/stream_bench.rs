@@ -4,15 +4,12 @@
 //! (`AdmissionPolicy::max_batch`) × per-shard cache capacity × workload
 //! locality (`hot_fraction` of queries drawn from a small hot key set) over
 //! a deterministic query stream, measuring queries/sec, the achieved cache
-//! hit ratio, and the model reads/writes charged per query. Also measures
-//! the ROADMAP "frontier concatenation" open item: the share of BFS's
-//! charged operations spent on the sequential per-round frontier concat
-//! (`BfsResult::concat_ops` / `concat_elems`).
+//! hit ratio, and the model reads/writes charged per query.
 //!
 //! Writes the machine-readable `BENCH_PR3.json` (override the path with
 //! `WEC_STREAM_BENCH_OUT`) whose `query_throughput_per_sec` /
-//! `peak_hit_ratio` / `bfs_concat_op_share` keys CI's bench guard
-//! validates. Pass `--smoke` for the CI-sized run.
+//! `peak_hit_ratio` keys CI's bench guard validates. Pass `--smoke` for
+//! the CI-sized run.
 
 use wec_asym::Ledger;
 use wec_bench::{time_median, StreamSnapshot, StreamSweepPoint};
@@ -20,7 +17,6 @@ use wec_biconnectivity::oracle::build_biconnectivity_oracle;
 use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec_core::BuildOpts;
 use wec_graph::{gen, Priorities, Vertex};
-use wec_prims::multi_bfs;
 use wec_serve::{AdmissionPolicy, Query, ShardedServer, StreamingServer};
 
 const OMEGA: u64 = 64;
@@ -182,23 +178,6 @@ fn main() {
         }
     }
 
-    // ROADMAP measurement: how much of BFS's charged operations go to the
-    // sequential per-round frontier concat.
-    let mut bled = Ledger::new(OMEGA);
-    let bfs = multi_bfs(&mut bled, &g, &[0]);
-    let total_ops = bled.costs().operations().max(1);
-    let concat_op_share = bfs.concat_ops as f64 / total_ops as f64;
-    let concat_elem_share = bfs.concat_elems as f64 / total_ops as f64;
-    println!(
-        "bfs frontier concat: {} charged concat ops / {} total operations \
-         ({:.4}%); {} elements moved ({:.4}% of operations)",
-        bfs.concat_ops,
-        total_ops,
-        100.0 * concat_op_share,
-        bfs.concat_elems,
-        100.0 * concat_elem_share
-    );
-
     let peak_q = sweep
         .iter()
         .map(|p| p.query_throughput_per_sec)
@@ -215,8 +194,6 @@ fn main() {
         sweep,
         query_throughput_per_sec: peak_q,
         peak_hit_ratio: peak_hit,
-        bfs_concat_op_share: concat_op_share,
-        bfs_concat_elem_share: concat_elem_share,
     };
     match snap.write("BENCH_PR3.json") {
         Ok(path) => println!("wrote {path}"),

@@ -20,16 +20,14 @@
 //! Beyond the paper's artifacts, `serve_bench` wall-clocks the `wec-serve`
 //! sharded batch-query layer (batch size × shard count sweep) and emits
 //! `BENCH_PR2.json`; `stream_bench` wall-clocks the streaming front end
-//! (micro-batch × cache capacity × locality sweep, plus the BFS
-//! frontier-concat share) and emits `BENCH_PR3.json`; `affinity_bench`
-//! compares routing × eviction policy combinations under cache-capacity
-//! pressure (locality × capacity-fraction sweep against the PR-3
-//! contiguous + fill-until-full baseline) and emits `BENCH_PR4.json`;
+//! (micro-batch × cache capacity × locality sweep) and emits
+//! `BENCH_PR3.json`; `affinity_bench` compares affinity routing against
+//! contiguous routing under cache-capacity pressure (locality ×
+//! capacity-fraction sweep) and emits `BENCH_PR4.json`;
 //! `cost_golden` regenerates `costs_golden.json`, the exact-cost golden
 //! file CI's cost-regression gate diffs; `pool_bench` measures the rayon
-//! shim's fork/join overhead and steal rates — the work-stealing scheduler
-//! against the legacy injector-only mode, at `WEC_THREADS ∈ {2, 8}` via
-//! subprocess legs — and emits `BENCH_PR5.json`; `fault_bench` drives the
+//! shim's fork/join overhead and steal rates at `WEC_THREADS ∈ {2, 8}` via
+//! subprocess legs and emits `BENCH_PR5.json`; `fault_bench` drives the
 //! seeded fault-injection plan through the streaming server at shard-panic
 //! rates of 0%, 0.1%, 1%, and 5% — measuring answer completeness and
 //! throughput against a crash-on-first-fault baseline — and emits
@@ -42,13 +40,12 @@
 //! — deficit-round-robin fair share and a 4:2:1:1 weighted leg against
 //! the FIFO baseline, measuring per-tenant delivered share, p99 ticket
 //! latency in pump rounds, and throughput retained — and emits
-//! `BENCH_PR8.json`; `conn_writes` additionally runs the PR-9 A/B legs on
-//! its wall-clock graph — §4.2 with the materialized two-pass cross-edge
-//! filter vs the fused delayed-sequence pass vs the LDD + star-contraction
-//! fast path, reporting charged writes/edge and build wall-clock for each —
-//! and emits `BENCH_PR9.json` (override the path with
-//! `WEC_FUSION_BENCH_OUT`). Criterion wall-clock benches live in
-//! `benches/`.
+//! `BENCH_PR8.json`; `conn_writes` additionally runs the fusion legs on its
+//! wall-clock graph — §4.2 with its fused delayed-sequence cross-edge pass
+//! vs the LDD + star-contraction fast path, reporting charged writes/edge
+//! and build wall-clock for each — and emits `BENCH_PR9.json` (override
+//! the path with `WEC_FUSION_BENCH_OUT`). Criterion wall-clock benches
+//! live in `benches/`.
 
 use std::time::Instant;
 use wec_asym::report::json;
@@ -174,14 +171,11 @@ impl BenchSnapshot {
 }
 
 /// The machine-readable fusion snapshot (`BENCH_PR9.json`): charged
-/// writes/edge and build wall-clock for the three connectivity build
-/// paths — §4.2 with the materialized two-pass cross-edge filter (the
-/// pre-PR-9 baseline), §4.2 with the fused delayed-sequence pass, and the
-/// LDD + star-contraction fast path — on the same graph and seed. The
-/// bench guard asserts `writes_per_edge_fused ≤
-/// writes_per_edge_materialized` and `writes_per_edge_star ≤
-/// writes_per_edge_materialized`, the paper's own metric applied to the
-/// build pipeline.
+/// writes/edge and build wall-clock for two connectivity build paths —
+/// §4.2 with its fused delayed-sequence cross-edge pass, and the LDD +
+/// star-contraction fast path — on the same graph and seed. The bench
+/// guard asserts `writes_per_edge_star < writes_per_edge_fused`, the
+/// paper's own metric applied to the build pipeline.
 #[derive(Debug, Clone)]
 pub struct FusionSnapshot {
     /// Which PR produced the snapshot.
@@ -194,14 +188,10 @@ pub struct FusionSnapshot {
     pub n: u64,
     /// Edges of the benchmark graph.
     pub m: u64,
-    /// Charged asymmetric writes per edge, §4.2 + materialized filter.
-    pub writes_per_edge_materialized: f64,
     /// Charged asymmetric writes per edge, §4.2 + fused cross-edge pass.
     pub writes_per_edge_fused: f64,
     /// Charged asymmetric writes per edge, LDD + star contraction.
     pub writes_per_edge_star: f64,
-    /// Median build wall-clock seconds, materialized leg.
-    pub build_seconds_materialized: f64,
     /// Median build wall-clock seconds, fused leg.
     pub build_seconds_fused: f64,
     /// Median build wall-clock seconds, star leg.
@@ -209,23 +199,11 @@ pub struct FusionSnapshot {
 }
 
 impl FusionSnapshot {
-    /// Write reduction of the fused §4.2 leg vs the materialized baseline,
-    /// in percent of the baseline.
-    pub fn fused_write_reduction_pct(&self) -> f64 {
-        if self.writes_per_edge_materialized > 0.0 {
-            100.0 * (self.writes_per_edge_materialized - self.writes_per_edge_fused)
-                / self.writes_per_edge_materialized
-        } else {
-            0.0
-        }
-    }
-
-    /// Write reduction of the star fast path vs the materialized §4.2
-    /// baseline, in percent of the baseline.
+    /// Write reduction of the star fast path vs §4.2, in percent of §4.2.
     pub fn star_write_reduction_pct(&self) -> f64 {
-        if self.writes_per_edge_materialized > 0.0 {
-            100.0 * (self.writes_per_edge_materialized - self.writes_per_edge_star)
-                / self.writes_per_edge_materialized
+        if self.writes_per_edge_fused > 0.0 {
+            100.0 * (self.writes_per_edge_fused - self.writes_per_edge_star)
+                / self.writes_per_edge_fused
         } else {
             0.0
         }
@@ -239,22 +217,10 @@ impl FusionSnapshot {
             .num("omega", self.omega)
             .num("n", self.n)
             .num("m", self.m)
-            .float(
-                "writes_per_edge_materialized",
-                self.writes_per_edge_materialized,
-            )
             .float("writes_per_edge_fused", self.writes_per_edge_fused)
             .float("writes_per_edge_star", self.writes_per_edge_star)
-            .float(
-                "build_seconds_materialized",
-                self.build_seconds_materialized,
-            )
             .float("build_seconds_fused", self.build_seconds_fused)
             .float("build_seconds_star", self.build_seconds_star)
-            .float(
-                "fused_write_reduction_pct",
-                self.fused_write_reduction_pct(),
-            )
             .float("star_write_reduction_pct", self.star_write_reduction_pct())
             .finish()
     }
@@ -396,10 +362,8 @@ impl StreamSweepPoint {
 
 /// The machine-readable streaming-layer snapshot (`BENCH_PR3.json`): a
 /// micro-batch × cache-capacity × locality sweep over the
-/// `wec_serve::StreamingServer`, plus the sequential frontier-concat share
-/// of BFS (the ROADMAP "frontier concatenation" measurement). The
-/// top-level `query_throughput_per_sec` / `peak_hit_ratio` /
-/// `bfs_concat_op_share` keys are the schema CI's bench guard validates.
+/// `wec_serve::StreamingServer`. The top-level `query_throughput_per_sec`
+/// / `peak_hit_ratio` keys are the schema CI's bench guard validates.
 #[derive(Debug, Clone)]
 pub struct StreamSnapshot {
     /// Which PR produced the snapshot.
@@ -422,11 +386,6 @@ pub struct StreamSnapshot {
     pub query_throughput_per_sec: f64,
     /// Best cache hit ratio across the sweep.
     pub peak_hit_ratio: f64,
-    /// BFS sequential-concat charged ops over total charged operations.
-    pub bfs_concat_op_share: f64,
-    /// BFS concat elements moved over total charged operations (the upper
-    /// bound on what a scan-based parallel pack could relocate).
-    pub bfs_concat_elem_share: f64,
 }
 
 impl StreamSnapshot {
@@ -446,8 +405,6 @@ impl StreamSnapshot {
             )
             .float("query_throughput_per_sec", self.query_throughput_per_sec)
             .float("peak_hit_ratio", self.peak_hit_ratio)
-            .float("bfs_concat_op_share", self.bfs_concat_op_share)
-            .float("bfs_concat_elem_share", self.bfs_concat_elem_share)
             .finish()
     }
 
@@ -460,14 +417,12 @@ impl StreamSnapshot {
     }
 }
 
-/// One measured point of the affinity sweep: a routing × eviction policy
-/// combination at a fixed workload locality and cache-capacity fraction.
+/// One measured point of the affinity sweep: a routing policy at a fixed
+/// workload locality and cache-capacity fraction.
 #[derive(Debug, Clone)]
 pub struct AffinitySweepPoint {
     /// Routing policy label (`"contiguous"` / `"affinity"`).
     pub routing: String,
-    /// Eviction policy label (`"fill"` / `"clock"`).
-    pub eviction: String,
     /// Fraction of the stream drawn from the hot key set.
     pub hot_fraction: f64,
     /// Total cache capacity (all shards) as a fraction of the stream's
@@ -477,7 +432,7 @@ pub struct AffinitySweepPoint {
     pub per_shard_capacity: u64,
     /// Measured cumulative cache hit ratio of the run.
     pub hit_ratio: f64,
-    /// CLOCK evictions per query (0 under fill-until-full).
+    /// CLOCK evictions per query.
     pub evictions_per_query: f64,
     /// Median wall-clock seconds for the whole stream.
     pub seconds_per_stream: f64,
@@ -494,7 +449,6 @@ impl AffinitySweepPoint {
     pub fn to_json(&self) -> String {
         json::Obj::new()
             .str("routing", &self.routing)
-            .str("eviction", &self.eviction)
             .float("hot_fraction", self.hot_fraction)
             .float("capacity_fraction", self.capacity_fraction)
             .num("per_shard_capacity", self.per_shard_capacity)
@@ -508,10 +462,9 @@ impl AffinitySweepPoint {
     }
 }
 
-/// The machine-readable affinity/eviction snapshot (`BENCH_PR4.json`):
-/// routing × eviction policy combinations swept over workload locality and
-/// cache-capacity pressure, against the PR-3 contiguous + fill-until-full
-/// baseline. The headline `affinity_hit_ratio` / `baseline_hit_ratio`
+/// The machine-readable affinity snapshot (`BENCH_PR4.json`): affinity
+/// routing swept over workload locality and cache-capacity pressure,
+/// against the contiguous-routing baseline (both under CLOCK eviction). The headline `affinity_hit_ratio` / `baseline_hit_ratio`
 /// pair is measured at the acceptance point — the 94%-hot stream with
 /// total capacity at 25% of the working set — and
 /// `query_throughput_per_sec` is the sweep peak; those three top-level
@@ -539,9 +492,9 @@ pub struct AffinitySnapshot {
     pub sweep: Vec<AffinitySweepPoint>,
     /// Peak queries/sec across the sweep.
     pub query_throughput_per_sec: f64,
-    /// Affinity + CLOCK hit ratio at the acceptance point.
+    /// Affinity-routed hit ratio at the acceptance point.
     pub affinity_hit_ratio: f64,
-    /// Contiguous + fill-until-full hit ratio at the acceptance point.
+    /// Contiguous-routed hit ratio at the acceptance point.
     pub baseline_hit_ratio: f64,
 }
 
@@ -576,15 +529,12 @@ impl AffinitySnapshot {
     }
 }
 
-/// One measured scheduler leg: a fixed thread count × publish mode
-/// (work-stealing deques vs. legacy injector-only), run in its own
+/// One measured scheduler leg at a fixed thread count, run in its own
 /// subprocess so `WEC_THREADS` really takes effect.
 #[derive(Debug, Clone)]
 pub struct PoolLeg {
     /// Threads the leg ran with (`WEC_THREADS`).
     pub threads: u64,
-    /// `"steal"` (per-worker deques) or `"injector"` (legacy shared queue).
-    pub mode: String,
     /// Wall-clock nanoseconds per `join` in the spawn-heavy microbench
     /// (balanced fan-out tree, trivial leaves — pure scheduler overhead).
     pub join_ns: f64,
@@ -614,7 +564,6 @@ impl PoolLeg {
     pub fn to_json(&self) -> String {
         json::Obj::new()
             .num("threads", self.threads)
-            .str("mode", &self.mode)
             .float("join_ns", self.join_ns)
             .float("joins_per_sec", self.joins_per_sec)
             .float("chunk_ns", self.chunk_ns)
@@ -630,56 +579,30 @@ impl PoolLeg {
 }
 
 /// The machine-readable scheduler snapshot (`BENCH_PR5.json`): fork/join
-/// overhead of the work-stealing runtime vs. the legacy injector-only
-/// scheduler at `WEC_THREADS ∈ {2, 8}`, plus steal-rate counters. The
-/// top-level `join_ns_steal_t{2,8}` / `join_ns_injector_t{2,8}` /
-/// `overhead_reduction_pct_t8` keys are what the CI bench guard validates;
-/// the acceptance criterion is `join_ns_steal_tN < join_ns_injector_tN`.
+/// overhead of the work-stealing runtime at `WEC_THREADS ∈ {2, 8}`, plus
+/// steal-rate counters. The top-level `join_ns_steal_t{2,8}` keys are what
+/// the CI bench guard validates.
 #[derive(Debug, Clone)]
 pub struct PoolSnapshot {
     /// Which PR produced the snapshot.
     pub pr: u64,
     /// Threads available to the orchestrating process (host default).
     pub host_threads: u64,
-    /// All measured legs (threads × mode grid).
+    /// All measured legs, one per thread count.
     pub legs: Vec<PoolLeg>,
 }
 
 impl PoolSnapshot {
-    fn leg(&self, threads: u64, mode: &str) -> Option<&PoolLeg> {
-        self.legs
-            .iter()
-            .find(|l| l.threads == threads && l.mode == mode)
-    }
-
-    /// Percentage reduction in per-join overhead, steal mode vs. injector
-    /// mode, at a given thread count (positive = steal wins).
-    pub fn overhead_reduction_pct(&self, threads: u64) -> f64 {
-        match (self.leg(threads, "steal"), self.leg(threads, "injector")) {
-            (Some(s), Some(i)) if i.join_ns > 0.0 => 100.0 * (1.0 - s.join_ns / i.join_ns),
-            _ => f64::NAN,
-        }
-    }
-
     /// Render the snapshot as a JSON document.
     pub fn to_json(&self) -> String {
         let mut obj = json::Obj::new()
             .num("pr", self.pr)
             .num("host_threads", self.host_threads)
             .raw("legs", &json::array(self.legs.iter().map(|l| l.to_json())));
-        for &t in &[2u64, 8] {
-            if let Some(s) = self.leg(t, "steal") {
-                obj = obj
-                    .float(&format!("join_ns_steal_t{t}"), s.join_ns)
-                    .num(&format!("steals_t{t}"), s.steals);
-            }
-            if let Some(i) = self.leg(t, "injector") {
-                obj = obj.float(&format!("join_ns_injector_t{t}"), i.join_ns);
-            }
-            obj = obj.float(
-                &format!("overhead_reduction_pct_t{t}"),
-                self.overhead_reduction_pct(t),
-            );
+        for l in &self.legs {
+            obj = obj
+                .float(&format!("join_ns_steal_t{}", l.threads), l.join_ns)
+                .num(&format!("steals_t{}", l.threads), l.steals);
         }
         obj.finish()
     }

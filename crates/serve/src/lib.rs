@@ -58,9 +58,8 @@
 //! into micro-batches under an [`AdmissionPolicy`], routes each query to
 //! its owner shard ([`Routing::Affinity`] — a pinned hash of the
 //! canonical cache key, with a documented skew fallback), serves it
-//! against that shard's result cache under a deterministic eviction
-//! policy ([`Eviction::Clock`] second-chance replacement by default), and
-//! delivers answers in submission order. The exact
+//! against that shard's result cache with deterministic CLOCK
+//! (second-chance) eviction, and delivers answers in submission order. The exact
 //! routing/hit/miss/eviction cost contract is documented in the
 //! [`streaming`] module docs.
 //!
@@ -104,8 +103,8 @@ pub use epoch::EpochStats;
 pub use fault::{BreakerState, FaultPlan, RecoveryPolicy, RobustnessStats, ShardHealth};
 pub use handle::{DeltaOracle, NoBiconn, OracleHandle};
 pub use streaming::{
-    query_work_estimate, AdmissionPolicy, AdmissionPolicyBuilder, CacheStats, Eviction, Overflow,
-    Routing, StreamingServer, Ticket, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS,
+    query_work_estimate, AdmissionPolicy, AdmissionPolicyBuilder, CacheStats, Overflow, Routing,
+    StreamingServer, Ticket, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_SWEEP_OPS,
     CLOCK_TOUCH_OPS, ROUTE_HASH_OPS,
 };
 pub use tenant::{FairShare, TenancyStats, TenantId, TenantSpec, TenantStats};

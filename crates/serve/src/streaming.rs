@@ -143,28 +143,22 @@
 //!
 //! ## Eviction: what happens when a cache is full
 //!
-//! [`Eviction`] selects the full-cache policy:
-//!
-//! * [`Eviction::FillUntilFull`] — the PR-3 policy: a full cache stops
-//!   filling; resident entries are immortal. Goes cold-dead when the hot
-//!   set shifts after capacity is reached.
-//! * [`Eviction::Clock`] (the default) — deterministic CLOCK
-//!   (second-chance): every resident entry carries one second-chance bit,
-//!   set on each hit. A miss at capacity advances the hand over the slot
-//!   ring, clearing set bits, and evicts the first entry whose bit is
-//!   clear; the replacement record overwrites the victim in place. New
-//!   entries start with the bit clear, and the hand rests one past the
-//!   victim. The second-chance bits are a `⌈capacity/64⌉`-word
-//!   symmetric-memory sideband per shard (within the model's `O(ω log n)`
-//!   symmetric budget for the capacities benchmarked), so touching them
-//!   costs unit operations, never asymmetric traffic.
+//! A full cache evicts by deterministic CLOCK (second-chance): every
+//! resident entry carries one second-chance bit, set on each hit. A miss
+//! at capacity advances the hand over the slot ring, clearing set bits,
+//! and evicts the first entry whose bit is clear; the replacement record
+//! overwrites the victim in place. New entries start with the bit clear,
+//! and the hand rests one past the victim. The second-chance bits are a
+//! `⌈capacity/64⌉`-word symmetric-memory sideband per shard (within the
+//! model's `O(ω log n)` symmetric budget for the capacities benchmarked),
+//! so touching them costs unit operations, never asymmetric traffic.
 //!
 //! ## The exact cost contract
 //!
 //! Dispatching a micro-batch of `n` queries over `s` shards charges
-//! **exactly** the following, enforced by `tests/streaming.rs` (legacy
-//! contiguous + fill-until-full) and `tests/affinity.rs` (affinity +
-//! CLOCK) at the workspace root:
+//! **exactly** the following, enforced by `tests/streaming.rs`
+//! (contiguous + CLOCK) and `tests/affinity.rs` (affinity + CLOCK) at the
+//! workspace root:
 //!
 //! 1. **routing** (affinity only): [`ROUTE_HASH_OPS`] unit operations per
 //!    query, charged on the dispatching ledger as one sequential routing
@@ -176,22 +170,18 @@
 //!    `n · QUERY_WORDS` either way;
 //! 3. [`CACHE_PROBE_READS`] asymmetric reads per probe — one probe for a
 //!    [`Query::Component`] or a predicate, two (one per endpoint) for a
-//!    [`Query::Connected`]. Under [`Eviction::Clock`] a **hit**
-//!    additionally charges [`CLOCK_TOUCH_OPS`] unit operations (setting
-//!    the second-chance bit); under [`Eviction::FillUntilFull`] a hit
-//!    costs nothing beyond its probe;
+//!    [`Query::Connected`]. A **hit** additionally charges
+//!    [`CLOCK_TOUCH_OPS`] unit operations (setting the second-chance bit);
 //! 4. per **miss**, the full one-by-one cost of the canonical underlying
 //!    query — `component(x)` for a missing endpoint memo, the
 //!    canonical-order predicate for a missing key — charged by the oracle
 //!    itself, identical to an uncached call;
 //! 5. per **fill**: below capacity, [`CACHE_INSERT_WRITES`] asymmetric
-//!    writes (both policies). At capacity, [`Eviction::FillUntilFull`]
-//!    charges nothing (the fill is dropped) while [`Eviction::Clock`]
-//!    charges [`CLOCK_SWEEP_OPS`] unit operations per slot the hand
-//!    inspects (victim included) **plus** the same single
+//!    writes. At capacity, [`CLOCK_SWEEP_OPS`] unit operations per slot the
+//!    hand inspects (victim included) **plus** the same single
 //!    [`CACHE_INSERT_WRITES`] for the in-place overwrite. Cache fills are
 //!    the *only* asymmetric writes the serving layer ever performs, under
-//!    every policy combination;
+//!    either routing;
 //! 6. scheduler bookkeeping: under contiguous routing,
 //!    `shard_chunks(n, s) − 1` unit operations and `⌈log₂ chunks⌉` depth;
 //!    under affinity routing, exactly `s` chunks always run (empty groups
@@ -359,19 +349,6 @@ pub enum Routing {
     },
 }
 
-/// What a shard cache does when a fill arrives at capacity. See the module
-/// docs for the per-policy charge formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Eviction {
-    /// The PR-3 policy: a full cache stops filling (resident entries are
-    /// immortal).
-    FillUntilFull,
-    /// Deterministic CLOCK second-chance replacement: hits set a
-    /// second-chance bit, a full-cache fill sweeps the hand to the first
-    /// clear entry and overwrites it in place.
-    Clock,
-}
-
 /// What [`StreamingServer::submit`] does when the queue sits at the
 /// policy's `max_queue` bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -400,15 +377,15 @@ pub fn query_work_estimate(q: Query, omega: u64) -> u64 {
     QUERY_WORDS + probes * (CACHE_PROBE_READS + omega * CACHE_INSERT_WRITES + omega)
 }
 
-/// When micro-batches form, how queries route to shards, how much each
-/// shard may cache, and how full caches evict. See the module docs for the
-/// exact semantics of each knob.
+/// When micro-batches form, how queries route to shards and how much each
+/// shard may cache. See the module docs for the exact semantics of each
+/// knob.
 ///
 /// ```
 /// # use wec_asym::Ledger;
 /// # use wec_connectivity::{ConnectivityOracle, OracleBuildOpts};
 /// # use wec_graph::{gen, Priorities};
-/// use wec_serve::{AdmissionPolicy, Eviction, Query, Routing, ShardedServer, StreamingServer};
+/// use wec_serve::{AdmissionPolicy, Query, Routing, ShardedServer, StreamingServer};
 ///
 /// # let g = gen::grid(6, 6);
 /// # let pri = Priorities::random(36, 1);
@@ -423,9 +400,7 @@ pub fn query_work_estimate(q: Query, omega: u64) -> u64 {
 ///     .max_queue(32)
 ///     .cache_capacity(2)
 ///     .routing(Routing::Affinity { skew_factor: 4 })
-///     .eviction(Eviction::Clock)
 ///     .build();
-/// assert_eq!(policy.eviction, Eviction::Clock);
 ///
 /// let sharded = ShardedServer::new(oracle.query_handle(), 2);
 /// let mut srv = StreamingServer::new(sharded, policy);
@@ -454,8 +429,6 @@ pub struct AdmissionPolicy {
     pub cache_capacity: usize,
     /// How queries map onto shards (default: affinity with skew factor 4).
     pub routing: Routing,
-    /// Full-cache replacement policy (default: CLOCK).
-    pub eviction: Eviction,
     /// What `submit` does at the `max_queue` bound (default: the PR-4
     /// inline dispatch; [`Overflow::Shed`] turns the bound into a typed
     /// rejection).
@@ -494,7 +467,7 @@ impl AdmissionPolicy {
 /// so a built policy is always valid.
 ///
 /// ```
-/// use wec_serve::{AdmissionPolicy, Eviction, Overflow};
+/// use wec_serve::{AdmissionPolicy, Overflow};
 ///
 /// let p = AdmissionPolicy::builder()
 ///     .max_batch(16)
@@ -502,7 +475,7 @@ impl AdmissionPolicy {
 ///     .overflow(Overflow::Shed)
 ///     .build();
 /// assert_eq!((p.max_batch, p.cache_capacity), (16, 64));
-/// assert_eq!(p.eviction, Eviction::Clock, "untouched knobs keep defaults");
+/// assert_eq!(p.max_queue, 1024, "untouched knobs keep defaults");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionPolicyBuilder {
@@ -533,12 +506,6 @@ impl AdmissionPolicyBuilder {
     /// How queries map onto shards.
     pub fn routing(mut self, routing: Routing) -> Self {
         self.policy.routing = routing;
-        self
-    }
-
-    /// Full-cache replacement policy.
-    pub fn eviction(mut self, eviction: Eviction) -> Self {
-        self.policy.eviction = eviction;
         self
     }
 
@@ -595,7 +562,6 @@ impl Default for AdmissionPolicy {
             max_queue: 1024,
             cache_capacity: 1 << 16,
             routing: Routing::Affinity { skew_factor: 4 },
-            eviction: Eviction::Clock,
             overflow: Overflow::DispatchInline,
             op_budget: 0,
             fair_share: FairShare::Fifo,
@@ -625,10 +591,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Probes that did not.
     pub misses: u64,
-    /// Cache fills performed (≤ misses; a fill-until-full cache at
-    /// capacity stops filling, a CLOCK cache keeps filling by evicting).
+    /// Cache fills performed (≤ misses; at capacity a fill evicts).
     pub inserts: u64,
-    /// Entries evicted by the CLOCK hand (0 under fill-until-full).
+    /// Entries evicted by the CLOCK hand.
     pub evictions: u64,
     /// Entries removed by epoch-install invalidation sweeps (connectivity
     /// memos whose cached `ComponentId` the new overlay remaps; see
@@ -1366,7 +1331,7 @@ where
             return;
         }
         let (server, caches, epochs) = (&self.server, &self.caches, &self.epochs);
-        let (cap, eviction) = (self.policy.cache_capacity, self.policy.eviction);
+        let cap = self.policy.cache_capacity;
         let fault = self.fault.filter(|f| f.injects_anything());
         // Exactly s accounting chunks, chunk i = shard i serving its own
         // group (execution may batch several shards per task on few-thread
@@ -1380,7 +1345,6 @@ where
                 &caches[shard],
                 &groups[shard],
                 cap,
-                eviction,
                 fault,
                 seq,
                 shard,
@@ -1413,7 +1377,7 @@ where
         let n = batch.len();
         let grain = n.div_ceil(map.len());
         let (server, caches, epochs) = (&self.server, &self.caches, &self.epochs);
-        let (cap, eviction) = (self.policy.cache_capacity, self.policy.eviction);
+        let cap = self.policy.cache_capacity;
         let fault = self.fault.filter(|f| f.injects_anything());
         let parts: Vec<ChunkOutcome> = led.scoped_par(n, grain, &|r, scope| {
             // Chunk i is shard map[i]: this worker is the only one
@@ -1426,7 +1390,6 @@ where
                 &caches[shard],
                 &batch[r],
                 cap,
-                eviction,
                 fault,
                 seq,
                 shard,
@@ -1602,7 +1565,6 @@ fn run_chunk<C, B>(
     cache_mutex: &Mutex<ShardCache>,
     group: &[Entry],
     cap: usize,
-    eviction: Eviction,
     fault: Option<FaultPlan>,
     seq: u64,
     shard: usize,
@@ -1642,15 +1604,7 @@ where
             } else if cap == 0 {
                 server.try_answer_one_in(scope.ledger(), overlay, e.q)
             } else {
-                answer_cached(
-                    server,
-                    scope.ledger(),
-                    &mut cache,
-                    cap,
-                    eviction,
-                    overlay,
-                    e.q,
-                )
+                answer_cached(server, scope.ledger(), &mut cache, cap, overlay, e.q)
             };
             out.push((e.ticket, r));
         }
@@ -1680,13 +1634,11 @@ fn fold_retired(agg: &mut CacheStats, dead: CacheStats) {
 /// is rejected with [`ServeError::UnsupportedQuery`] *before* probing, so
 /// the rejection charges nothing and the cache never learns spurious
 /// keys.
-#[allow(clippy::too_many_arguments)]
 fn answer_cached<C, B>(
     server: &ShardedServer<C, B>,
     led: &mut Ledger,
     cache: &mut ShardCache,
     capacity: usize,
-    eviction: Eviction,
     overlay: &ComponentOverlay,
     q: Query,
 ) -> ServeResult
@@ -1700,31 +1652,14 @@ where
             led,
             cache,
             capacity,
-            eviction,
             overlay,
             v,
         ))),
         Query::Connected(u, v) => {
             // The answer is derived from the memoized ComponentId pair; the
             // comparison is free, as in ConnQueryHandle::component_pair.
-            let a = memo_component(
-                server.conn_handle(),
-                led,
-                cache,
-                capacity,
-                eviction,
-                overlay,
-                u,
-            );
-            let b = memo_component(
-                server.conn_handle(),
-                led,
-                cache,
-                capacity,
-                eviction,
-                overlay,
-                v,
-            );
+            let a = memo_component(server.conn_handle(), led, cache, capacity, overlay, u);
+            let b = memo_component(server.conn_handle(), led, cache, capacity, overlay, v);
             Ok(Answer::Connected(a == b))
         }
         Query::TwoEdgeConnected(u, v) => match server.bicon_handle() {
@@ -1733,7 +1668,6 @@ where
                 led,
                 cache,
                 capacity,
-                eviction,
                 BiconnQueryKey::two_edge_connected(u, v),
             ))),
             None => Err(ServeError::UnsupportedQuery(q)),
@@ -1744,7 +1678,6 @@ where
                 led,
                 cache,
                 capacity,
-                eviction,
                 BiconnQueryKey::biconnected(u, v),
             ))),
             None => Err(ServeError::UnsupportedQuery(q)),
@@ -1763,14 +1696,13 @@ fn memo_component<C>(
     led: &mut Ledger,
     cache: &mut ShardCache,
     capacity: usize,
-    eviction: Eviction,
     overlay: &ComponentOverlay,
     v: Vertex,
 ) -> ComponentId
 where
     C: OracleHandle<Key = Vertex, Answer = ComponentId>,
 {
-    if let Some(hit) = cache.probe(CacheKey::Comp(v), eviction) {
+    if let Some(hit) = cache.probe(CacheKey::Comp(v)) {
         let CacheVal::Comp(id) = hit else {
             unreachable!("component key holds a component value")
         };
@@ -1778,7 +1710,7 @@ where
     }
     let id = conn.answer_key(led, v);
     let id = overlay.canonical(led, id);
-    cache.fill(CacheKey::Comp(v), CacheVal::Comp(id), capacity, eviction);
+    cache.fill(CacheKey::Comp(v), CacheVal::Comp(id), capacity);
     id
 }
 
@@ -1787,20 +1719,19 @@ fn memo_pred<B>(
     led: &mut Ledger,
     cache: &mut ShardCache,
     capacity: usize,
-    eviction: Eviction,
     key: BiconnQueryKey,
 ) -> bool
 where
     B: OracleHandle<Key = BiconnQueryKey, Answer = bool>,
 {
-    if let Some(hit) = cache.probe(CacheKey::Pred(key), eviction) {
+    if let Some(hit) = cache.probe(CacheKey::Pred(key)) {
         let CacheVal::Pred(ans) = hit else {
             unreachable!("predicate key holds a predicate value")
         };
         return ans;
     }
     let ans = bicon.answer_key(led, key);
-    cache.fill(CacheKey::Pred(key), CacheVal::Pred(ans), capacity, eviction);
+    cache.fill(CacheKey::Pred(key), CacheVal::Pred(ans), capacity);
     ans
 }
 
@@ -1815,7 +1746,6 @@ mod tests {
             .max_queue(32)
             .cache_capacity(2)
             .routing(Routing::Contiguous)
-            .eviction(Eviction::FillUntilFull)
             .overflow(Overflow::Shed)
             .op_budget(99)
             .fair_share(FairShare::DRR)

@@ -37,9 +37,9 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{
-    query_work_estimate, AdmissionPolicy, BreakerState, Eviction, FaultPlan, FullStreamingServer,
-    Overflow, Query, RecoveryPolicy, RobustnessStats, Routing, ServeError, ServeResult,
-    ShardedServer, StreamingServer, Ticket,
+    query_work_estimate, AdmissionPolicy, BreakerState, FaultPlan, FullStreamingServer, Overflow,
+    Query, RecoveryPolicy, RobustnessStats, Routing, ServeError, ServeResult, ShardedServer,
+    StreamingServer, Ticket,
 };
 
 const OMEGA: u64 = 64;
@@ -194,7 +194,6 @@ fn seeded_panic_plan_answers_everything_in_order() {
             .max_queue(64)
             .cache_capacity(32)
             .routing(Routing::Affinity { skew_factor: 4 })
-            .eviction(Eviction::Clock)
             .build()
     };
     let plan = FaultPlan::seeded(0xF417)
@@ -260,7 +259,6 @@ fn zero_knob_plan_charges_identically_to_no_plan() {
             .max_queue(48)
             .cache_capacity(64)
             .routing(Routing::Affinity { skew_factor: 4 })
-            .eviction(Eviction::Clock)
             .build()
     };
     let quiet = FaultPlan::seeded(123);
@@ -298,7 +296,6 @@ fn breaker_trips_excludes_and_reprobes_a_dead_shard() {
         .max_queue(16)
         .cache_capacity(32)
         .routing(Routing::Affinity { skew_factor: 4 })
-        .eviction(Eviction::Clock)
         .build();
     let recovery = RecoveryPolicy::default()
         .with_breaker_threshold(2)
@@ -374,7 +371,6 @@ fn half_open_probe_success_restores_the_shard() {
         .max_queue(16)
         .cache_capacity(32)
         .routing(Routing::Affinity { skew_factor: 4 })
-        .eviction(Eviction::Clock)
         .build();
     let recovery = RecoveryPolicy::default()
         .with_breaker_threshold(2)
@@ -425,7 +421,6 @@ fn poisoned_cache_lock_is_cleared_and_counted() {
         .max_queue(16)
         .cache_capacity(32)
         .routing(Routing::Affinity { skew_factor: 4 })
-        .eviction(Eviction::Clock)
         .build();
     let plan = FaultPlan::seeded(5)
         .with_poison_per_mille(120)
@@ -554,11 +549,6 @@ fn ticket_order_survives_random_interleavings_of_faults() {
                 Routing::Affinity { skew_factor: 4 }
             } else {
                 Routing::Contiguous
-            })
-            .eviction(if rng.gen_bool(0.5) {
-                Eviction::Clock
-            } else {
-                Eviction::FillUntilFull
             })
             .overflow(overflow)
             .build();

@@ -3,15 +3,15 @@
 //! 1. answers are delivered strictly in submission order and equal
 //!    one-by-one oracle queries (under the default affinity + CLOCK
 //!    policy);
-//! 2. the documented **legacy** hit/miss cost formula
-//!    ([`Routing::Contiguous`] + [`Eviction::FillUntilFull`], the PR-3
-//!    configuration) holds **exactly**: a dispatch charges the batch
-//!    input scan + cache probes + the full one-by-one cost of every miss
-//!    (canonical order) + one write per cache fill + the
-//!    `shard_chunks − 1` scheduler bookkeeping, and nothing else —
-//!    verified cold (misses) and warmed (all hits) against an independent
-//!    replay of the admission/partition logic. The affinity + CLOCK
-//!    formula is enforced the same way by `tests/affinity.rs`;
+//! 2. the documented hit/miss cost formula under [`Routing::Contiguous`]
+//!    (CLOCK eviction, capacity never reached) holds **exactly**: a
+//!    dispatch charges the batch input scan + cache probes + one CLOCK
+//!    touch per hit + the full one-by-one cost of every miss (canonical
+//!    order) + one write per cache fill + the `shard_chunks − 1`
+//!    scheduler bookkeeping, and nothing else — verified cold (misses)
+//!    and warmed (all hits) against an independent replay of the
+//!    admission/partition logic. The affinity + CLOCK formula, evictions
+//!    included, is enforced the same way by `tests/affinity.rs`;
 //! 3. every charge is **bit-identical** between parallel and sequential
 //!    ledgers; CI additionally runs this file under `WEC_THREADS ∈
 //!    {1, 2, 8}`, so the totals are pinned at every parallelism level;
@@ -28,8 +28,9 @@ use wec::connectivity::{ConnectivityOracle, OracleBuildOpts};
 use wec::core::BuildOpts;
 use wec::graph::{gen, Csr, Priorities, Vertex};
 use wec::serve::{
-    shard_chunks, AdmissionPolicy, Answer, Eviction, FullServer, FullStreamingServer, Query,
-    Routing, ShardedServer, StreamingServer, CACHE_INSERT_WRITES, CACHE_PROBE_READS, QUERY_WORDS,
+    shard_chunks, AdmissionPolicy, Answer, FullServer, FullStreamingServer, Query, Routing,
+    ShardedServer, StreamingServer, CACHE_INSERT_WRITES, CACHE_PROBE_READS, CLOCK_TOUCH_OPS,
+    QUERY_WORDS,
 };
 
 const OMEGA: u64 = 64;
@@ -87,11 +88,12 @@ fn streaming_server<'o, 'g>(
 /// stream into micro-batches exactly as a no-auto-flush drain would
 /// (consecutive `max_batch`-sized chunks), map each query to its shard
 /// (`position / grain`), track per-shard key sets, and sum the formula —
-/// `QUERY_WORDS` per query, `CACHE_PROBE_READS` per probe, each miss's
-/// canonical one-by-one cost on a fresh ledger, `CACHE_INSERT_WRITES` per
-/// fill while below capacity, and `shard_chunks − 1` ops per dispatch.
-/// `warm_sets` carries per-shard key sets in and out, so a second replay
-/// over the same sets prices the warmed pass.
+/// `QUERY_WORDS` per query, `CACHE_PROBE_READS` per probe,
+/// `CLOCK_TOUCH_OPS` per hit, each miss's canonical one-by-one cost on a
+/// fresh ledger, `CACHE_INSERT_WRITES` per fill, and `shard_chunks − 1`
+/// ops per dispatch. The replay prices no evictions, so it asserts that
+/// every fill lands below `capacity`. `sets` carries per-shard key sets in
+/// and out, so a second replay over the same sets prices the warmed pass.
 #[allow(clippy::type_complexity)]
 fn replay_expected_costs(
     server1: &FullServer<'_, '_, Csr>,
@@ -114,23 +116,25 @@ fn replay_expected_costs(
             match q {
                 Query::Component(v) => {
                     expect.asym_reads += CACHE_PROBE_READS;
-                    if !comp.contains(&v) {
+                    if comp.contains(&v) {
+                        expect.sym_ops += CLOCK_TOUCH_OPS;
+                    } else {
                         server1.conn_handle().component(&mut led, v);
-                        if comp.len() + pred.len() < capacity {
-                            expect.asym_writes += CACHE_INSERT_WRITES;
-                            comp.insert(v);
-                        }
+                        assert!(comp.len() + pred.len() < capacity, "no evictions");
+                        expect.asym_writes += CACHE_INSERT_WRITES;
+                        comp.insert(v);
                     }
                 }
                 Query::Connected(u, v) => {
                     for x in [u, v] {
                         expect.asym_reads += CACHE_PROBE_READS;
-                        if !comp.contains(&x) {
+                        if comp.contains(&x) {
+                            expect.sym_ops += CLOCK_TOUCH_OPS;
+                        } else {
                             server1.conn_handle().component(&mut led, x);
-                            if comp.len() + pred.len() < capacity {
-                                expect.asym_writes += CACHE_INSERT_WRITES;
-                                comp.insert(x);
-                            }
+                            assert!(comp.len() + pred.len() < capacity, "no evictions");
+                            expect.asym_writes += CACHE_INSERT_WRITES;
+                            comp.insert(x);
                         }
                     }
                 }
@@ -141,12 +145,13 @@ fn replay_expected_costs(
                         BiconnQueryKey::biconnected(u, v)
                     };
                     expect.asym_reads += CACHE_PROBE_READS;
-                    if !pred.contains(&key) {
+                    if pred.contains(&key) {
+                        expect.sym_ops += CLOCK_TOUCH_OPS;
+                    } else {
                         server1.bicon_handle().unwrap().answer_key(&mut led, key);
-                        if comp.len() + pred.len() < capacity {
-                            expect.asym_writes += CACHE_INSERT_WRITES;
-                            pred.insert(key);
-                        }
+                        assert!(comp.len() + pred.len() < capacity, "no evictions");
+                        expect.asym_writes += CACHE_INSERT_WRITES;
+                        pred.insert(key);
                     }
                 }
             }
@@ -213,9 +218,9 @@ fn hit_miss_cost_contract_exact_cold_then_warm() {
     let (max_batch, capacity) = (64usize, 1usize << 12);
     // max_queue above the stream length: no auto-flush, so micro-batches
     // are exactly the drain's consecutive max_batch-sized chunks — the
-    // partition the replay below assumes. Routing/eviction pinned to the
-    // legacy PR-3 configuration this replay prices; tests/affinity.rs
-    // replays the affinity + CLOCK contract.
+    // partition the replay below assumes. Routing pinned to the contiguous
+    // partition this replay prices, at a capacity the stream never
+    // reaches; tests/affinity.rs replays the affinity + CLOCK contract.
     let mut srv = streaming_server(
         &conn,
         &bicon,
@@ -224,7 +229,6 @@ fn hit_miss_cost_contract_exact_cold_then_warm() {
             .max_queue(10_000)
             .cache_capacity(capacity)
             .routing(Routing::Contiguous)
-            .eviction(Eviction::FillUntilFull)
             .build(),
     );
     let server1 =
